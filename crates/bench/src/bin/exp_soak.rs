@@ -121,8 +121,16 @@ fn main() -> ExitCode {
         println!(
             "  memory: {} post-clear-up samples, entries {}..{} ({})",
             mode.memory_samples.len(),
-            mode.memory_samples.iter().map(|s| s.entries).min().unwrap_or(0),
-            mode.memory_samples.iter().map(|s| s.entries).max().unwrap_or(0),
+            mode.memory_samples
+                .iter()
+                .map(|s| s.entries)
+                .min()
+                .unwrap_or(0),
+            mode.memory_samples
+                .iter()
+                .map(|s| s.entries)
+                .max()
+                .unwrap_or(0),
             if mode.memory_bounded(config.memory_band_factor) {
                 "bounded"
             } else {

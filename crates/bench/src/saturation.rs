@@ -1598,8 +1598,8 @@ mod tests {
 
     #[test]
     fn parser_handles_scalars_and_nesting() {
-        let v = parse_document("{\"a\": [1, 2.5, true, null, \"x\"], \"b\": {\"c\": -3e2}}")
-            .unwrap();
+        let v =
+            parse_document("{\"a\": [1, 2.5, true, null, \"x\"], \"b\": {\"c\": -3e2}}").unwrap();
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_num(), Some(-300.0));
         match v.get("a") {
             Some(Json::Arr(items)) => assert_eq!(items.len(), 5),

@@ -134,12 +134,8 @@ impl SoakConfig {
             }
             "subscribers" => self.population.subscribers = num(key, value)? as u32,
             "subscriber_skew" => self.population.subscriber_skew = num(key, value)?,
-            "service_concentration" => {
-                self.population.service_concentration = num(key, value)?
-            }
-            "dns_flow_lag_micros" => {
-                self.population.dns_flow_lag_micros = num(key, value)? as u64
-            }
+            "service_concentration" => self.population.service_concentration = num(key, value)?,
+            "dns_flow_lag_micros" => self.population.dns_flow_lag_micros = num(key, value)? as u64,
             "sim_hours" => self.sim_hours = num(key, value)? as u64,
             "peak_flows_per_sec" => self.peak_flows_per_sec = num(key, value)?,
             "background_dns_per_sec" => self.background_dns_per_sec = num(key, value)?,
@@ -250,7 +246,9 @@ impl LossOutcome {
     pub fn zero_accepted_loss(&self) -> bool {
         self.dns_processed == self.dns_accepted
             && self.flows_processed == self.flows_accepted
-            && self.shard_routed_dns.map_or(true, |n| n == self.dns_accepted)
+            && self
+                .shard_routed_dns
+                .map_or(true, |n| n == self.dns_accepted)
             && self
                 .shard_routed_flows
                 .map_or(true, |n| n == self.flows_accepted)
@@ -520,11 +518,7 @@ where
     })
 }
 
-fn run_mode(
-    soak: &SoakConfig,
-    label: &'static str,
-    shards: usize,
-) -> Result<ModeOutcome, String> {
+fn run_mode(soak: &SoakConfig, label: &'static str, shards: usize) -> Result<ModeOutcome, String> {
     let snapshot_path = std::env::temp_dir().join(format!(
         "flowdns_soak_{}_{}_{}.snapshot",
         std::process::id(),
@@ -553,12 +547,20 @@ fn run_mode(
     )?;
     let snapshot_entries = first.report.metrics.snapshot.last_entries;
     if first.report.metrics.snapshot.snapshots_written == 0 {
-        return Err(format!("{label}: first instance wrote no shutdown snapshot"));
+        return Err(format!(
+            "{label}: first instance wrote no shutdown snapshot"
+        ));
     }
 
     // Second instance: warm start from the snapshot, stream the rest of
     // the week.
-    let second = run_instance(&config, &mut events, None, &mut samples, &mut events_streamed)?;
+    let second = run_instance(
+        &config,
+        &mut events,
+        None,
+        &mut samples,
+        &mut events_streamed,
+    )?;
     let _ = std::fs::remove_file(&snapshot_path);
     let restart = RestartOutcome {
         snapshot_entries,
@@ -573,8 +575,7 @@ fn run_mode(
         dns_processed: first.report.metrics.fillup.total() + second.report.metrics.fillup.total(),
         flows_offered: first.flows_offered + second.flows_offered,
         flows_accepted: first.flows_accepted + second.flows_accepted,
-        flows_processed: first.report.metrics.lookup.total()
-            + second.report.metrics.lookup.total(),
+        flows_processed: first.report.metrics.lookup.total() + second.report.metrics.lookup.total(),
         shard_routed_dns: match (first.routed, second.routed) {
             (Some(a), Some(b)) => Some(a.0 + b.0),
             _ => None,
@@ -615,10 +616,7 @@ pub fn run(soak: &SoakConfig, mut progress: impl FnMut(&str)) -> Result<SoakRepo
         progress(&format!(
             "mode {label} (shards={shards}): streaming {} simulated hours of '{}' \
              ({} subscribers), restart at hour {}",
-            soak.sim_hours,
-            soak.population_name,
-            soak.population.subscribers,
-            soak.restart_at_hour,
+            soak.sim_hours, soak.population_name, soak.population.subscribers, soak.restart_at_hour,
         ));
         let outcome = run_mode(soak, label, shards)?;
         progress(&format!(
@@ -895,13 +893,21 @@ pub fn validate_json(text: &str) -> Result<(), String> {
         _ => return Err("'runs' must be an array".into()),
     };
     if runs.len() != 2 {
-        return Err(format!("expected 2 runs (classic, sharded), have {}", runs.len()));
+        return Err(format!(
+            "expected 2 runs (classic, sharded), have {}",
+            runs.len()
+        ));
     }
     for (i, run) in runs.iter().enumerate() {
         check_mode(run, &format!("runs[{i}]"))?;
     }
     let verdicts = doc.get("verdicts").ok_or("missing 'verdicts'")?;
-    for key in ["clear_ups_ok", "bounded_memory", "zero_loss", "warm_restart"] {
+    for key in [
+        "clear_ups_ok",
+        "bounded_memory",
+        "zero_loss",
+        "warm_restart",
+    ] {
         require_bool(verdicts, key, "verdicts")?;
     }
     Ok(())
@@ -933,10 +939,18 @@ mod tests {
         assert_eq!(report.modes.len(), 2);
         assert_eq!(report.modes[0].shards, 0);
         assert_eq!(report.modes[1].shards, 2);
-        assert!(report.clear_ups_ok(), "clear-ups: {:?}", report.modes[0].clear_ups);
+        assert!(
+            report.clear_ups_ok(),
+            "clear-ups: {:?}",
+            report.modes[0].clear_ups
+        );
         assert!(report.bounded_memory());
         assert!(report.zero_loss(), "loss: {:?}", report.modes[0].loss);
-        assert!(report.warm_restart(), "restart: {:?}", report.modes[0].restart);
+        assert!(
+            report.warm_restart(),
+            "restart: {:?}",
+            report.modes[0].restart
+        );
         let json = report.to_json();
         validate_json(&json).expect("emitted JSON validates");
     }
@@ -957,9 +971,7 @@ mod tests {
     fn validate_rejects_broken_documents() {
         assert!(validate_json("").is_err());
         assert!(validate_json("{}").is_err());
-        let report = format!(
-            r#"{{"schema": "{SCHEMA}", "mode": "smoke", "config": {{}}}}"#
-        );
+        let report = format!(r#"{{"schema": "{SCHEMA}", "mode": "smoke", "config": {{}}}}"#);
         assert!(validate_json(&report).is_err());
     }
 }

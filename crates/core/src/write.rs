@@ -130,10 +130,26 @@ impl OutputSink for DiscardSink {
     }
 }
 
+/// Encode `record` into the reused `line` buffer and hand the whole line,
+/// newline included, to `writer` in one `write_all` — no per-record
+/// allocation once `line` has grown to a line's length.
+fn write_line(
+    writer: &mut BufWriter<File>,
+    line: &mut Vec<u8>,
+    record: &CorrelatedRecord,
+) -> Result<(), FlowDnsError> {
+    line.clear();
+    record.write_tsv(line);
+    line.push(b'\n');
+    writer.write_all(line)?;
+    Ok(())
+}
+
 /// A sink that appends TSV lines to a single file.
 #[derive(Debug)]
 pub struct TsvFileSink {
     writer: BufWriter<File>,
+    line: Vec<u8>,
 }
 
 impl TsvFileSink {
@@ -142,15 +158,14 @@ impl TsvFileSink {
         let file = File::create(path)?;
         Ok(TsvFileSink {
             writer: BufWriter::new(file),
+            line: Vec::new(),
         })
     }
 }
 
 impl OutputSink for TsvFileSink {
     fn write_record(&mut self, record: &CorrelatedRecord) -> Result<(), FlowDnsError> {
-        self.writer.write_all(record.to_tsv().as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        Ok(())
+        write_line(&mut self.writer, &mut self.line, record)
     }
 
     fn flush(&mut self) -> Result<(), FlowDnsError> {
@@ -198,6 +213,7 @@ pub struct RotatingFileSink {
     window_secs: u64,
     current: Option<ActiveWindow>,
     completed: Vec<PathBuf>,
+    line: Vec<u8>,
 }
 
 impl RotatingFileSink {
@@ -222,6 +238,7 @@ impl RotatingFileSink {
             window_secs: window.as_secs(),
             current: None,
             completed: Vec::new(),
+            line: Vec::new(),
         })
     }
 
@@ -285,9 +302,7 @@ impl OutputSink for RotatingFileSink {
         let Some(open) = self.current.as_mut() else {
             return Err(FlowDnsError::Io("rotating sink has no open window".into()));
         };
-        open.writer.write_all(record.to_tsv().as_bytes())?;
-        open.writer.write_all(b"\n")?;
-        Ok(())
+        write_line(&mut open.writer, &mut self.line, record)
     }
 
     fn flush(&mut self) -> Result<(), FlowDnsError> {

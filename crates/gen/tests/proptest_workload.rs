@@ -32,10 +32,8 @@ fn config_strategy() -> impl Strategy<Value = WorkloadConfig> {
         any::<u64>(),
     )
         .prop_map(|(preset, secs, peak, seed)| WorkloadConfig {
-            population: SubscriberPopulation::preset(
-                SubscriberPopulation::PRESET_NAMES[preset],
-            )
-            .expect("preset name"),
+            population: SubscriberPopulation::preset(SubscriberPopulation::PRESET_NAMES[preset])
+                .expect("preset name"),
             duration: SimDuration::from_secs(secs),
             peak_flows_per_sec: peak as f64,
             background_dns_per_sec: (peak as f64 / 8.0).max(1.0),
@@ -49,19 +47,19 @@ proptest! {
 
     #[test]
     fn same_seed_and_config_streams_identically(config in config_strategy()) {
-        let a: Vec<StreamEvent> = Workload::new(config.clone()).events().collect();
-        let b: Vec<StreamEvent> = Workload::new(config.clone()).events().collect();
+        let a: Vec<StreamEvent> = Workload::new(config).events().collect();
+        let b: Vec<StreamEvent> = Workload::new(config).events().collect();
         prop_assert_eq!(a.len(), b.len());
         prop_assert_eq!(a, b);
     }
 
     #[test]
     fn a_different_seed_changes_the_stream(config in config_strategy()) {
-        let a: Vec<StreamEvent> = Workload::new(config.clone())
+        let a: Vec<StreamEvent> = Workload::new(config)
             .events()
             .take(2_000)
             .collect();
-        let mut other = config.clone();
+        let mut other = config;
         other.seed = other.seed.wrapping_add(1);
         let b: Vec<StreamEvent> = Workload::new(other).events().take(2_000).collect();
         prop_assert_ne!(a, b);

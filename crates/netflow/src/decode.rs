@@ -9,13 +9,30 @@
 //! peer address and two exporters can never corrupt each other's
 //! templates — even when they reuse the same source id and template id
 //! with different field layouts.
+//!
+//! v9 flowsets and IPFIX sets share one walker, `decode_sets`: template
+//! sets are compiled into [`RecordLayout`]s as they arrive, and data sets
+//! decode record by record at the compiled offsets straight into the
+//! caller's `Vec<FlowRecord>` — no per-record map, no intermediate vector.
 
 use flowdns_types::{FlowDnsError, FlowRecord, SimTime};
 
 use crate::extract::{ExtractorConfig, FlowExtractor};
-use crate::ipfix::IpfixParser;
+use crate::template::{RecordLayout, TemplateRegistry};
 use crate::v5::V5Packet;
-use crate::v9::{FlowSet, V9Parser};
+use crate::{ipfix, v9};
+
+pub(crate) fn err(msg: impl Into<String>) -> FlowDnsError {
+    FlowDnsError::NetflowParse(msg.into())
+}
+
+pub(crate) fn be16(b: &[u8], at: usize) -> u16 {
+    u16::from_be_bytes([b[at], b[at + 1]])
+}
+
+pub(crate) fn be32(b: &[u8], at: usize) -> u32 {
+    u32::from_be_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
+}
 
 /// The export protocol spoken by a datagram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,15 +101,145 @@ impl DecodeStats {
     }
 }
 
+/// How a template-based protocol spells its sets.
+pub(crate) struct Dialect {
+    /// Set id carrying templates.
+    pub template_set: u16,
+    /// Set id carrying options templates (recognized, not interpreted).
+    pub options_set: u16,
+    /// IPFIX: enterprise-specific elements carry a 4-byte enterprise
+    /// number after their (type, length) pair.
+    pub enterprise_numbers: bool,
+    /// v9: bytes after the last record of a data flowset must be zero
+    /// padding, and no bytes may follow the last flowset.
+    pub strict_padding: bool,
+}
+
+/// What the sets of one datagram held.
+pub(crate) struct SetsDecoded {
+    /// Data records decoded (before the extractor's validity filter).
+    pub records: usize,
+    /// Data sets dropped because their template was unknown.
+    pub unknown_sets: u64,
+}
+
+/// Walk the sets of one datagram of `source`: compile template sets into
+/// `templates` and append the flows of data sets to `out`. On error `out`
+/// may hold part of the datagram's flows; the caller truncates it.
+pub(crate) fn decode_sets(
+    dialect: &Dialect,
+    templates: &mut TemplateRegistry,
+    source: u32,
+    ts: SimTime,
+    config: &ExtractorConfig,
+    mut sets: &[u8],
+    out: &mut Vec<FlowRecord>,
+) -> Result<SetsDecoded, FlowDnsError> {
+    let mut decoded = SetsDecoded {
+        records: 0,
+        unknown_sets: 0,
+    };
+    while sets.len() >= 4 {
+        let (id, len) = (be16(sets, 0), be16(sets, 2) as usize);
+        if len < 4 {
+            return Err(err(format!("set length {len} too small")));
+        }
+        let Some(body) = sets.get(4..len) else {
+            return Err(err("set runs past end of datagram"));
+        };
+        if id == dialect.template_set {
+            // Validate the whole set before caching any of its templates.
+            parse_templates(body, dialect.enterprise_numbers, |_, _| {})?;
+            parse_templates(body, dialect.enterprise_numbers, |tid, layout| {
+                templates.insert(source, tid, layout)
+            })?;
+        } else if id == dialect.options_set {
+            // Recognized, not interpreted.
+        } else if id < 256 {
+            return Err(err(format!("reserved set id {id}")));
+        } else if let Some(layout) = templates.get(source, id) {
+            let rec_len = layout.record_len();
+            if rec_len == 0 {
+                return Err(err("template describes zero-length records"));
+            }
+            let mut records = body.chunks_exact(rec_len);
+            decoded.records += records.len();
+            out.extend((&mut records).filter_map(|r| layout.flow(r, ts, config)));
+            let rest = records.remainder();
+            if dialect.strict_padding && rest.len() >= 4 && rest.iter().any(|b| *b != 0) {
+                return Err(err("trailing non-padding bytes in data flowset"));
+            }
+        } else {
+            decoded.unknown_sets += 1;
+        }
+        sets = &sets[len..];
+    }
+    if dialect.strict_padding && !sets.is_empty() {
+        return Err(err(format!("{} trailing bytes after last set", sets.len())));
+    }
+    Ok(decoded)
+}
+
+/// Parse a template set, handing each template's id and compiled layout
+/// to `insert`.
+fn parse_templates(
+    body: &[u8],
+    enterprise_numbers: bool,
+    mut insert: impl FnMut(u16, RecordLayout),
+) -> Result<(), FlowDnsError> {
+    let mut found = false;
+    let mut off = 0usize;
+    // Template sets may carry padding at the end; stop when fewer than
+    // 4 bytes remain or at an all-zero header.
+    while off + 4 <= body.len() {
+        let (id, field_count) = (be16(body, off), be16(body, off + 2));
+        if id == 0 && field_count == 0 {
+            break;
+        }
+        if id < 256 {
+            return Err(err(format!("template id {id} below 256")));
+        }
+        if field_count == 0 || field_count > 128 {
+            return Err(err(format!("implausible field count {field_count}")));
+        }
+        off += 4;
+        let mut layout = RecordLayout::default();
+        for _ in 0..field_count {
+            if off + 4 > body.len() {
+                return Err(err("template set truncated"));
+            }
+            let (element, length) = (be16(body, off), be16(body, off + 2));
+            off += 4;
+            let enterprise = enterprise_numbers && element & 0x8000 != 0;
+            if enterprise {
+                if off + 4 > body.len() {
+                    return Err(err("enterprise field truncated"));
+                }
+                off += 4;
+            }
+            if length == 0 {
+                return Err(err("zero-length template field"));
+            }
+            layout.push(element, length, enterprise);
+        }
+        insert(id, layout);
+        found = true;
+    }
+    if !found {
+        return Err(err("template set carries no templates"));
+    }
+    Ok(())
+}
+
 /// Stateful decoder for **one** exporter peer.
 ///
-/// Keeps independent v9 and IPFIX parser state (each with its own
-/// per-source [`crate::template::TemplateRegistry`]) plus a
-/// [`FlowExtractor`], and turns raw datagrams into [`FlowRecord`]s.
+/// Keeps independent v9 and IPFIX template state (each a per-source
+/// [`TemplateRegistry`]) plus a [`FlowExtractor`], and turns raw
+/// datagrams into [`FlowRecord`]s.
 #[derive(Debug, Default)]
 pub struct ExporterDecoder {
-    v9: V9Parser,
-    ipfix: IpfixParser,
+    v9: TemplateRegistry,
+    ipfix: TemplateRegistry,
     extractor: FlowExtractor,
     /// Decode counters for this exporter.
     pub stats: DecodeStats,
@@ -102,70 +249,60 @@ impl ExporterDecoder {
     /// A fresh decoder with empty template state.
     pub fn new(config: ExtractorConfig) -> Self {
         ExporterDecoder {
-            v9: V9Parser::new(),
-            ipfix: IpfixParser::new(),
             extractor: FlowExtractor::new(config),
-            stats: DecodeStats::default(),
+            ..ExporterDecoder::default()
         }
     }
 
-    /// Decode one datagram into flow records, auto-detecting the protocol.
-    ///
-    /// Malformed datagrams return an error *and* increment
-    /// [`DecodeStats::malformed`]; data arriving before its template is
-    /// not an error — it yields fewer (possibly zero) records and
-    /// increments [`DecodeStats::unknown_template_drops`].
+    /// Decode one datagram into a fresh vector of flow records; see
+    /// [`decode_datagram_into`](Self::decode_datagram_into).
     pub fn decode_datagram(&mut self, bytes: &[u8]) -> Result<Vec<FlowRecord>, FlowDnsError> {
-        let result = match FlowProtocol::detect(bytes) {
-            Some(FlowProtocol::V5) => V5Packet::decode(bytes).map(|p| self.extractor.from_v5(&p)),
-            Some(FlowProtocol::V9) => self.v9.parse(bytes).map(|p| {
-                let unknown = p
-                    .flowsets
-                    .iter()
-                    .filter(|fs| matches!(fs, FlowSet::UnknownTemplate { .. }))
-                    .count();
-                self.stats.unknown_template_drops += unknown as u64;
-                self.extractor.from_v9(&p)
-            }),
-            Some(FlowProtocol::Ipfix) => self.ipfix.parse(bytes).map(|m| {
-                self.stats.unknown_template_drops += m.unknown_template_sets as u64;
-                let ts = SimTime::from_secs(m.export_time as u64);
-                let records: Vec<_> = m.records.iter().collect();
-                self.extractor.from_data_records(ts, &records)
-            }),
-            None => Err(FlowDnsError::NetflowParse(
-                "unrecognized export protocol version".into(),
-            )),
-        };
-        match result {
-            Ok(flows) => {
-                self.stats.datagrams += 1;
-                self.stats.flows += flows.len() as u64;
-                Ok(flows)
-            }
-            Err(e) => {
-                self.stats.malformed += 1;
-                Err(e)
-            }
-        }
+        let mut flows = Vec::new();
+        self.decode_datagram_into(bytes, &mut flows)?;
+        Ok(flows)
     }
 
-    /// Like [`decode_datagram`](Self::decode_datagram), but appends the
-    /// decoded records to `out` instead of allocating a fresh vector —
-    /// the batched listeners decode a whole socket drain into one
-    /// reusable buffer and push it to the pipeline in a single batch.
-    /// Returns how many records this datagram contributed; a malformed
-    /// datagram is counted (and reported as `Err`) without touching
-    /// records already in `out`.
+    /// Decode one datagram, auto-detecting the protocol, and append its
+    /// flow records to `out` — the batched listeners decode a whole
+    /// socket drain into one reusable buffer and push it to the pipeline
+    /// in a single batch. Returns how many records this datagram
+    /// contributed.
+    ///
+    /// Malformed datagrams return an error, increment
+    /// [`DecodeStats::malformed`] and leave `out` as it was on entry;
+    /// data arriving before its template is not an error — it yields
+    /// fewer (possibly zero) records and increments
+    /// [`DecodeStats::unknown_template_drops`].
     pub fn decode_datagram_into(
         &mut self,
         bytes: &[u8],
         out: &mut Vec<FlowRecord>,
     ) -> Result<usize, FlowDnsError> {
-        let flows = self.decode_datagram(bytes)?;
-        let n = flows.len();
-        out.extend(flows);
-        Ok(n)
+        let start = out.len();
+        let config = self.extractor.config();
+        let result = match FlowProtocol::detect(bytes) {
+            Some(FlowProtocol::V5) => V5Packet::decode(bytes).map(|p| {
+                out.extend(self.extractor.from_v5(&p));
+                0
+            }),
+            Some(FlowProtocol::V9) => v9::decode(&mut self.v9, &config, bytes, out),
+            Some(FlowProtocol::Ipfix) => ipfix::decode(&mut self.ipfix, &config, bytes, out),
+            None => Err(err("unrecognized export protocol version")),
+        };
+        match result {
+            Ok(unknown_sets) => {
+                let flows = out.len() - start;
+                self.stats.datagrams += 1;
+                self.stats.flows += flows as u64;
+                self.stats.unknown_template_drops += unknown_sets;
+                Ok(flows)
+            }
+            Err(e) => {
+                out.truncate(start);
+                self.stats.malformed += 1;
+                Err(e)
+            }
+        }
     }
 }
 

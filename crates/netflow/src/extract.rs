@@ -3,18 +3,17 @@
 //! FlowDNS "is not bound to NetFlow data and can be adapted to use other
 //! data formats containing IP addresses and timestamps in a configuration
 //! file" (Section 3). This module is that adaptation layer: it converts
-//! parsed NetFlow v5 packets, v9/IPFIX data records, or already-structured
-//! tuples into [`FlowRecord`]s according to an [`ExtractorConfig`] that
-//! says which address to correlate on and which direction the flows
-//! represent.
+//! parsed NetFlow v5 packets into [`FlowRecord`]s according to an
+//! [`ExtractorConfig`] that says which address to correlate on and which
+//! direction and stream the flows carry. v9/IPFIX records are extracted
+//! under the same configuration by their compiled
+//! [`RecordLayout`](crate::template::RecordLayout).
 
 use std::net::IpAddr;
 
 use flowdns_types::{FlowDirection, FlowKey, FlowRecord, Protocol, SimTime, StreamId};
 
-use crate::template::FieldType;
 use crate::v5::V5Packet;
-use crate::v9::{DataRecord, V9Packet};
 
 /// Which IP address the correlator should use when looking flows up in the
 /// DNS store. The paper uses the **source** address ("we are interested in
@@ -116,66 +115,12 @@ impl FlowExtractor {
         }
         out
     }
-
-    /// Extract flow records from the decoded data records of a v9 packet.
-    pub fn from_v9(&mut self, packet: &V9Packet) -> Vec<FlowRecord> {
-        let ts = SimTime::from_secs(packet.unix_secs as u64);
-        let records: Vec<&DataRecord> = packet.data_records().collect();
-        self.from_data_records(ts, &records)
-    }
-
-    /// Extract flow records from template-based data records (v9 or IPFIX)
-    /// with an explicit export timestamp.
-    pub fn from_data_records(&mut self, ts: SimTime, records: &[&DataRecord]) -> Vec<FlowRecord> {
-        let mut out = Vec::with_capacity(records.len());
-        for r in records {
-            match self.data_record_to_flow(ts, r) {
-                Some(flow) if flow.is_valid() => {
-                    self.extracted += 1;
-                    out.push(flow);
-                }
-                _ => self.skipped += 1,
-            }
-        }
-        out
-    }
-
-    fn data_record_to_flow(&self, ts: SimTime, r: &DataRecord) -> Option<FlowRecord> {
-        let src_ip = r
-            .ip(FieldType::Ipv4SrcAddr)
-            .or_else(|| r.ip(FieldType::Ipv6SrcAddr))?;
-        let dst_ip = r
-            .ip(FieldType::Ipv4DstAddr)
-            .or_else(|| r.ip(FieldType::Ipv6DstAddr))?;
-        let bytes = r.uint(FieldType::InBytes)?;
-        let packets = r.uint(FieldType::InPkts).unwrap_or(1).max(1);
-        let src_port = r.uint(FieldType::L4SrcPort).unwrap_or(0) as u16;
-        let dst_port = r.uint(FieldType::L4DstPort).unwrap_or(0) as u16;
-        let proto = Protocol::from_u8(r.uint(FieldType::Protocol).unwrap_or(6) as u8);
-        Some(FlowRecord {
-            ts,
-            key: FlowKey {
-                src_ip,
-                dst_ip,
-                src_port,
-                dst_port,
-                proto,
-            },
-            packets,
-            bytes,
-            stream: self.config.stream,
-            direction: self.config.direction,
-            trace: None,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::template::Template;
     use crate::v5::{V5Header, V5Record};
-    use crate::v9::{encode_standard_ipv4_record, V9PacketBuilder, V9Parser};
     use std::net::Ipv4Addr;
 
     #[test]
@@ -234,43 +179,6 @@ mod tests {
         };
         let mut ex = FlowExtractor::new(ExtractorConfig::default());
         assert!(ex.from_v5(&packet).is_empty());
-        assert_eq!(ex.skipped, 1);
-    }
-
-    #[test]
-    fn v9_extraction_end_to_end() {
-        let template = Template::standard_ipv4(256);
-        let mut b = V9PacketBuilder::new(1, 1, 5000);
-        b.add_templates(std::slice::from_ref(&template));
-        let rec = encode_standard_ipv4_record(
-            Ipv4Addr::new(198, 51, 100, 20),
-            Ipv4Addr::new(10, 0, 0, 5),
-            443,
-            40000,
-            17,
-            700_000,
-            500,
-            0,
-            1,
-        );
-        b.add_data(&template, &[rec]).unwrap();
-        let mut parser = V9Parser::new();
-        let pkt = parser.parse(&b.build(0)).unwrap();
-        let mut ex = FlowExtractor::new(ExtractorConfig::default());
-        let flows = ex.from_v9(&pkt);
-        assert_eq!(flows.len(), 1);
-        assert_eq!(flows[0].ts, SimTime::from_secs(5000));
-        assert_eq!(flows[0].bytes, 700_000);
-        assert_eq!(flows[0].key.proto, Protocol::Udp);
-        assert_eq!(flows[0].key.dst_port, 40000);
-    }
-
-    #[test]
-    fn records_missing_mandatory_fields_are_skipped() {
-        let r = DataRecord::default();
-        let mut ex = FlowExtractor::new(ExtractorConfig::default());
-        let flows = ex.from_data_records(SimTime::ZERO, &[&r]);
-        assert!(flows.is_empty());
         assert_eq!(ex.skipped, 1);
     }
 }

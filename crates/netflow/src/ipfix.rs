@@ -4,20 +4,17 @@
 //! header followed by *sets*. Set id 2 carries templates (same layout as
 //! v9 template records), set id 3 carries options templates, and set ids
 //! ≥ 256 carry data records. Enterprise-specific information elements
-//! (high bit of the field type set) are parsed but stored opaquely.
+//! (high bit of the field type set) are skipped over: they take space in
+//! the record but never stand in for the IANA element of the same number.
 //!
 //! The reader shares the per-source [`TemplateRegistry`] machinery and
-//! record model with the v9 parser, so the extraction layer treats both
-//! identically.
+//! the compiled-layout decoder with v9, so both yield identical flows.
 
-use flowdns_types::FlowDnsError;
+use flowdns_types::{FlowDnsError, FlowRecord, SimTime};
 
-use crate::template::{FieldSpec, FieldType, Template, TemplateRegistry};
-use crate::v9::DataRecord;
-
-fn err(msg: impl Into<String>) -> FlowDnsError {
-    FlowDnsError::NetflowParse(msg.into())
-}
+use crate::decode::{be16, be32, decode_sets, err, Dialect};
+use crate::extract::ExtractorConfig;
+use crate::template::{Template, TemplateRegistry};
 
 /// Size of the IPFIX message header in bytes.
 pub const IPFIX_HEADER_LEN: usize = 16;
@@ -26,179 +23,39 @@ pub const TEMPLATE_SET_ID: u16 = 2;
 /// Set id carrying options-template records.
 pub const OPTIONS_TEMPLATE_SET_ID: u16 = 3;
 
-/// A parsed IPFIX message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IpfixMessage {
-    /// Export time, seconds since the Unix epoch.
-    pub export_time: u32,
-    /// Message sequence number.
-    pub sequence: u32,
-    /// Observation domain id (plays the role of v9's source id).
-    pub observation_domain: u32,
-    /// Decoded data records (template and options sets update the cache
-    /// but do not appear here).
-    pub records: Vec<DataRecord>,
-    /// Number of data sets that referenced an unknown template.
-    pub unknown_template_sets: usize,
-}
+const IPFIX: Dialect = Dialect {
+    template_set: TEMPLATE_SET_ID,
+    options_set: OPTIONS_TEMPLATE_SET_ID,
+    enterprise_numbers: true,
+    strict_padding: false,
+};
 
-/// Stateful IPFIX reader (one per exporter peer).
-#[derive(Debug, Default)]
-pub struct IpfixParser {
-    /// Per-observation-domain template caches shared across messages.
-    pub templates: TemplateRegistry,
-    /// Messages parsed so far.
-    pub messages: u64,
-    /// Data records decoded so far.
-    pub records: u64,
-}
-
-impl IpfixParser {
-    /// A fresh parser.
-    pub fn new() -> Self {
-        IpfixParser::default()
+/// Decode one IPFIX message straight into `out`, updating `templates`.
+/// Returns the number of data sets dropped for an unknown template.
+pub(crate) fn decode(
+    templates: &mut TemplateRegistry,
+    config: &ExtractorConfig,
+    bytes: &[u8],
+    out: &mut Vec<FlowRecord>,
+) -> Result<u64, FlowDnsError> {
+    if bytes.len() < IPFIX_HEADER_LEN {
+        return Err(err("message shorter than IPFIX header"));
     }
-
-    /// Parse one IPFIX message.
-    pub fn parse(&mut self, bytes: &[u8]) -> Result<IpfixMessage, FlowDnsError> {
-        if bytes.len() < IPFIX_HEADER_LEN {
-            return Err(err("message shorter than IPFIX header"));
-        }
-        let version = u16::from_be_bytes([bytes[0], bytes[1]]);
-        if version != 10 {
-            return Err(err(format!("not an IPFIX message (version {version})")));
-        }
-        let length = u16::from_be_bytes([bytes[2], bytes[3]]) as usize;
-        if length != bytes.len() {
-            return Err(err(format!(
-                "IPFIX length field {length} does not match buffer length {}",
-                bytes.len()
-            )));
-        }
-        let export_time = be32(&bytes[4..8]);
-        let sequence = be32(&bytes[8..12]);
-        let observation_domain = be32(&bytes[12..16]);
-
-        let mut records = Vec::new();
-        let mut unknown_template_sets = 0usize;
-        let mut offset = IPFIX_HEADER_LEN;
-        while offset + 4 <= bytes.len() {
-            let set_id = u16::from_be_bytes([bytes[offset], bytes[offset + 1]]);
-            let set_len = u16::from_be_bytes([bytes[offset + 2], bytes[offset + 3]]) as usize;
-            if set_len < 4 {
-                return Err(err(format!("set length {set_len} too small")));
-            }
-            if offset + set_len > bytes.len() {
-                return Err(err("set runs past end of message"));
-            }
-            let body = &bytes[offset + 4..offset + set_len];
-            match set_id {
-                TEMPLATE_SET_ID => {
-                    for t in parse_template_set(body)? {
-                        self.templates.insert(observation_domain, t);
-                    }
-                }
-                OPTIONS_TEMPLATE_SET_ID => {
-                    // Recognized, not interpreted.
-                }
-                id if id >= 256 => match self.templates.get(observation_domain, id).cloned() {
-                    Some(template) => {
-                        records.extend(parse_data_set(body, &template)?);
-                    }
-                    None => {
-                        self.templates.note_unknown(observation_domain);
-                        unknown_template_sets += 1;
-                    }
-                },
-                id => return Err(err(format!("reserved set id {id}"))),
-            }
-            offset += set_len;
-        }
-
-        self.messages += 1;
-        self.records += records.len() as u64;
-        Ok(IpfixMessage {
-            export_time,
-            sequence,
-            observation_domain,
-            records,
-            unknown_template_sets,
-        })
+    let version = be16(bytes, 0);
+    if version != 10 {
+        return Err(err(format!("not an IPFIX message (version {version})")));
     }
-}
-
-fn parse_template_set(body: &[u8]) -> Result<Vec<Template>, FlowDnsError> {
-    let mut templates = Vec::new();
-    let mut off = 0usize;
-    while off + 4 <= body.len() {
-        let id = u16::from_be_bytes([body[off], body[off + 1]]);
-        let field_count = u16::from_be_bytes([body[off + 2], body[off + 3]]) as usize;
-        if id == 0 && field_count == 0 {
-            break; // padding
-        }
-        if id < 256 {
-            return Err(err(format!("template id {id} below 256")));
-        }
-        if field_count == 0 || field_count > 128 {
-            return Err(err(format!("implausible field count {field_count}")));
-        }
-        off += 4;
-        let mut fields = Vec::with_capacity(field_count);
-        for _ in 0..field_count {
-            if off + 4 > body.len() {
-                return Err(err("template set truncated"));
-            }
-            let raw_type = u16::from_be_bytes([body[off], body[off + 1]]);
-            let length = u16::from_be_bytes([body[off + 2], body[off + 3]]);
-            off += 4;
-            // Enterprise-specific elements carry a 4-byte enterprise number.
-            if raw_type & 0x8000 != 0 {
-                if off + 4 > body.len() {
-                    return Err(err("enterprise field truncated"));
-                }
-                off += 4;
-            }
-            if length == 0 {
-                return Err(err("zero-length template field"));
-            }
-            fields.push(FieldSpec {
-                ftype: FieldType::from_u16(raw_type & 0x7FFF),
-                length,
-            });
-        }
-        templates.push(Template { id, fields });
+    let length = be16(bytes, 2) as usize;
+    if length != bytes.len() {
+        return Err(err(format!(
+            "IPFIX length field {length} does not match buffer length {}",
+            bytes.len()
+        )));
     }
-    if templates.is_empty() {
-        return Err(err("template set carries no templates"));
-    }
-    Ok(templates)
-}
-
-fn parse_data_set(body: &[u8], template: &Template) -> Result<Vec<DataRecord>, FlowDnsError> {
-    let rec_len = template.record_len();
-    if rec_len == 0 {
-        return Err(err("template describes zero-length records"));
-    }
-    let mut records = Vec::new();
-    let mut off = 0usize;
-    while off + rec_len <= body.len() {
-        let mut record = DataRecord::default();
-        let mut pos = off;
-        for field in &template.fields {
-            let len = field.length as usize;
-            record
-                .fields
-                .insert(field.ftype.to_u16(), body[pos..pos + len].to_vec());
-            pos += len;
-        }
-        records.push(record);
-        off += rec_len;
-    }
-    Ok(records)
-}
-
-fn be32(b: &[u8]) -> u32 {
-    u32::from_be_bytes([b[0], b[1], b[2], b[3]])
+    let ts = SimTime::from_secs(be32(bytes, 4) as u64);
+    let domain = be32(bytes, 12);
+    let sets = &bytes[IPFIX_HEADER_LEN..];
+    decode_sets(&IPFIX, templates, domain, ts, config, sets, out).map(|d| d.unknown_sets)
 }
 
 /// Builder for IPFIX messages (used by tests and the synthetic exporter).
@@ -304,27 +161,37 @@ mod tests {
         b.build()
     }
 
+    /// Decode `bytes` with `templates`: the flows and unknown-set count.
+    fn run(
+        templates: &mut TemplateRegistry,
+        bytes: &[u8],
+    ) -> Result<(Vec<FlowRecord>, u64), FlowDnsError> {
+        let mut out = Vec::new();
+        let unknown = decode(templates, &ExtractorConfig::default(), bytes, &mut out)?;
+        Ok((out, unknown))
+    }
+
     #[test]
     fn template_then_data_round_trip() {
-        let mut p = IpfixParser::new();
-        let msg = p.parse(&message(true)).unwrap();
-        assert_eq!(msg.observation_domain, 55);
-        assert_eq!(msg.records.len(), 1);
+        let mut templates = TemplateRegistry::new();
+        let (flows, _) = run(&mut templates, &message(true)).unwrap();
+        assert!(templates.get(55, 400).is_some());
+        assert_eq!(flows.len(), 1);
         assert_eq!(
-            msg.records[0].ip(FieldType::Ipv4SrcAddr),
-            Some(std::net::IpAddr::from([203, 0, 113, 77]))
+            flows[0].key.src_ip,
+            std::net::IpAddr::from([203, 0, 113, 77])
         );
-        assert_eq!(msg.records[0].uint(FieldType::InBytes), Some(2_000_000));
+        assert_eq!(flows[0].bytes, 2_000_000);
+        assert_eq!(flows[0].ts, SimTime::from_secs(1_700_000_000));
     }
 
     #[test]
     fn data_before_template_counts_unknown() {
-        let mut p = IpfixParser::new();
-        let msg = p.parse(&message(false)).unwrap();
-        assert_eq!(msg.records.len(), 0);
-        assert_eq!(msg.unknown_template_sets, 1);
-        let msg2 = p.parse(&message(true)).unwrap();
-        assert_eq!(msg2.records.len(), 1);
+        let mut templates = TemplateRegistry::new();
+        let (flows, unknown) = run(&mut templates, &message(false)).unwrap();
+        assert_eq!((flows.len(), unknown), (0, 1));
+        let (flows, _) = run(&mut templates, &message(true)).unwrap();
+        assert_eq!(flows.len(), 1);
     }
 
     #[test]
@@ -332,22 +199,19 @@ mod tests {
         let mut bytes = message(true);
         bytes[2] = 0;
         bytes[3] = 20;
-        let mut p = IpfixParser::new();
-        assert!(p.parse(&bytes).is_err());
+        assert!(run(&mut TemplateRegistry::new(), &bytes).is_err());
     }
 
     #[test]
     fn wrong_version_is_rejected() {
         let mut bytes = message(true);
         bytes[1] = 9;
-        let mut p = IpfixParser::new();
-        assert!(p.parse(&bytes).is_err());
+        assert!(run(&mut TemplateRegistry::new(), &bytes).is_err());
     }
 
     #[test]
     fn truncated_message_is_rejected() {
         let bytes = message(true);
-        let mut p = IpfixParser::new();
-        assert!(p.parse(&bytes[..IPFIX_HEADER_LEN - 2]).is_err());
+        assert!(run(&mut TemplateRegistry::new(), &bytes[..IPFIX_HEADER_LEN - 2]).is_err());
     }
 }

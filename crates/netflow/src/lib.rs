@@ -9,16 +9,17 @@
 //!
 //! * [`v5`] — the fixed-format NetFlow v5 packet codec,
 //! * [`template`] — field type definitions shared by the template-based
-//!   formats,
+//!   formats, and templates compiled into fixed record layouts,
 //! * [`v9`] — NetFlow v9 (RFC 3954): template and data flowsets with a
 //!   per-exporter template cache,
 //! * [`ipfix`] — an IPFIX (RFC 7011) subset reader that reuses the v9
 //!   template machinery,
-//! * [`extract`] — the generic extraction layer that turns any parsed
-//!   packet into the [`flowdns_types::FlowRecord`]s the correlator
-//!   consumes (the paper: "the system is not bound to NetFlow data"),
+//! * [`extract`] — the extraction configuration that says how records
+//!   become the [`flowdns_types::FlowRecord`]s the correlator consumes
+//!   (the paper: "the system is not bound to NetFlow data"),
 //! * [`decode`] — per-exporter datagram decoding with v5/v9/IPFIX
-//!   auto-detection by version word, used by the live ingest layer.
+//!   auto-detection by version word, used by the live ingest layer. v9
+//!   and IPFIX records decode straight into `FlowRecord`s.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +33,7 @@ pub mod v9;
 
 pub use decode::{DecodeStats, ExporterDecoder, FlowProtocol};
 pub use extract::{ExtractorConfig, FlowExtractor};
-pub use ipfix::{IpfixMessage, IpfixMessageBuilder, IpfixParser};
-pub use template::{FieldSpec, FieldType, Template, TemplateCache, TemplateRegistry};
+pub use ipfix::IpfixMessageBuilder;
+pub use template::{FieldSpec, FieldType, RecordLayout, Template, TemplateCache, TemplateRegistry};
 pub use v5::{V5Header, V5Packet, V5Record, V5_MAX_RECORDS};
-pub use v9::{DataRecord, FlowSet, V9Packet, V9PacketBuilder, V9Parser};
+pub use v9::V9PacketBuilder;

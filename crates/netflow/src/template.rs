@@ -3,11 +3,20 @@
 //! Both formats describe data records via *templates*: an ordered list of
 //! (field type, field length) pairs announced in template flowsets/sets
 //! and referenced by id from data flowsets/sets. Exporters may emit data
-//! before templates or refresh templates periodically, so parsers keep a
+//! before templates or refresh templates periodically, so decoders keep a
 //! [`TemplateRegistry`] — one [`TemplateCache`] (keyed by template id)
 //! per source id, so sources can never clobber each other's layouts.
+//!
+//! A cached template is *compiled*: the cache holds a [`RecordLayout`]
+//! with the offset and length of each field the flow extractor reads, so
+//! data records decode at fixed offsets straight into flow records.
 
 use std::collections::HashMap;
+use std::net::IpAddr;
+
+use flowdns_types::{FlowKey, FlowRecord, Protocol, SimTime};
+
+use crate::extract::ExtractorConfig;
 
 /// The field types FlowDNS cares about (a subset of the IANA IPFIX
 /// registry / Cisco NetFlow v9 field types).
@@ -160,20 +169,132 @@ impl Template {
     pub fn record_len(&self) -> usize {
         self.fields.iter().map(|f| f.length as usize).sum()
     }
+
+    /// Compile the template into the layout the decoder caches.
+    pub fn layout(&self) -> RecordLayout {
+        let mut layout = RecordLayout::default();
+        for f in &self.fields {
+            layout.push(f.ftype.to_u16(), f.length, false);
+        }
+        layout
+    }
+}
+
+/// The element ids of the fields the flow extractor reads, in slot order.
+const SLOT_ELEMENTS: [u16; 9] = [
+    8,  // IPV4_SRC_ADDR
+    27, // IPV6_SRC_ADDR
+    12, // IPV4_DST_ADDR
+    28, // IPV6_DST_ADDR
+    1,  // IN_BYTES
+    2,  // IN_PKTS
+    7,  // L4_SRC_PORT
+    11, // L4_DST_PORT
+    4,  // PROTOCOL
+];
+const SRC_V4: usize = 0;
+const SRC_V6: usize = 1;
+const DST_V4: usize = 2;
+const DST_V6: usize = 3;
+const BYTES: usize = 4;
+const PKTS: usize = 5;
+const SRC_PORT: usize = 6;
+const DST_PORT: usize = 7;
+const PROTO: usize = 8;
+
+/// A template compiled for decoding: the record length plus the
+/// (offset, length) slot of each field the flow extractor reads. A slot
+/// of length 0 is a field the template does not carry. When a template
+/// repeats a field type, the last occurrence fills the slot.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecordLayout {
+    rec_len: usize,
+    slots: [(usize, usize); SLOT_ELEMENTS.len()],
+}
+
+impl RecordLayout {
+    /// Append a field of `length` bytes. Enterprise-specific IPFIX
+    /// elements only take space: they never fill a slot, whatever their
+    /// element number.
+    pub(crate) fn push(&mut self, element: u16, length: u16, enterprise: bool) {
+        if let Some(slot) = SLOT_ELEMENTS.iter().position(|e| *e == element) {
+            if !enterprise {
+                self.slots[slot] = (self.rec_len, length as usize);
+            }
+        }
+        self.rec_len += length as usize;
+    }
+
+    /// Length in bytes of one data record.
+    pub fn record_len(&self) -> usize {
+        self.rec_len
+    }
+
+    fn field<'a>(&self, slot: usize, record: &'a [u8]) -> Option<&'a [u8]> {
+        let (off, len) = self.slots[slot];
+        (len > 0).then(|| &record[off..off + len])
+    }
+
+    /// A 1–8 byte big-endian unsigned field.
+    fn uint(&self, slot: usize, record: &[u8]) -> Option<u64> {
+        let raw = self.field(slot, record).filter(|raw| raw.len() <= 8)?;
+        Some(raw.iter().fold(0, |v, b| (v << 8) | u64::from(*b)))
+    }
+
+    /// A 4- or 16-byte address field.
+    fn ip(&self, slot: usize, record: &[u8]) -> Option<IpAddr> {
+        let raw = self.field(slot, record)?;
+        if let Ok(v4) = <[u8; 4]>::try_from(raw) {
+            return Some(v4.into());
+        }
+        <[u8; 16]>::try_from(raw).ok().map(IpAddr::from)
+    }
+
+    /// Decode one `record_len()`-byte record into a flow. `None` when the
+    /// record lacks a readable source, destination or byte count, or the
+    /// flow is invalid.
+    pub(crate) fn flow(
+        &self,
+        record: &[u8],
+        ts: SimTime,
+        config: &ExtractorConfig,
+    ) -> Option<FlowRecord> {
+        let src_ip = self
+            .ip(SRC_V4, record)
+            .or_else(|| self.ip(SRC_V6, record))?;
+        let dst_ip = self
+            .ip(DST_V4, record)
+            .or_else(|| self.ip(DST_V6, record))?;
+        let flow = FlowRecord {
+            ts,
+            key: FlowKey {
+                src_ip,
+                dst_ip,
+                src_port: self.uint(SRC_PORT, record).unwrap_or(0) as u16,
+                dst_port: self.uint(DST_PORT, record).unwrap_or(0) as u16,
+                proto: Protocol::from_u8(self.uint(PROTO, record).unwrap_or(6) as u8),
+            },
+            packets: self.uint(PKTS, record).unwrap_or(1).max(1),
+            bytes: self.uint(BYTES, record)?,
+            stream: config.stream,
+            direction: config.direction,
+            trace: None,
+        };
+        flow.is_valid().then_some(flow)
+    }
 }
 
 /// Cache of the templates announced by **one** source (one NetFlow v9
 /// source id / IPFIX observation domain), keyed by template id.
 ///
 /// Template ids are only unique within a source, so a cache never mixes
-/// sources; [`TemplateRegistry`] holds one cache per source. Records
-/// received before their template are counted so operators can see the
-/// warm-up loss.
+/// sources; [`TemplateRegistry`] holds one cache per source. Data sets
+/// received before their template are counted by the decoder
+/// ([`DecodeStats::unknown_template_drops`](crate::DecodeStats)) so
+/// operators can see the warm-up loss.
 #[derive(Debug, Default, Clone)]
 pub struct TemplateCache {
-    templates: HashMap<u16, Template>,
-    /// Data flowsets that referenced an unknown template.
-    pub unknown_template_hits: u64,
+    templates: HashMap<u16, RecordLayout>,
 }
 
 impl TemplateCache {
@@ -182,19 +303,14 @@ impl TemplateCache {
         TemplateCache::default()
     }
 
-    /// Insert or refresh a template.
-    pub fn insert(&mut self, template: Template) {
-        self.templates.insert(template.id, template);
+    /// Insert or refresh (recompile) a template.
+    pub fn insert(&mut self, template_id: u16, layout: RecordLayout) {
+        self.templates.insert(template_id, layout);
     }
 
-    /// Look up a template.
-    pub fn get(&self, template_id: u16) -> Option<&Template> {
+    /// Look up a template's compiled layout.
+    pub fn get(&self, template_id: u16) -> Option<&RecordLayout> {
         self.templates.get(&template_id)
-    }
-
-    /// Record a data flowset that arrived before its template.
-    pub fn note_unknown(&mut self) {
-        self.unknown_template_hits += 1;
     }
 
     /// Number of cached templates.
@@ -233,26 +349,19 @@ impl TemplateRegistry {
         self.sources.entry(source_id).or_default()
     }
 
-    /// The cache for `source_id`, if any template or unknown-template hit
-    /// was ever recorded for it.
+    /// The cache for `source_id`, if any template was ever cached for it.
     pub fn source(&self, source_id: u32) -> Option<&TemplateCache> {
         self.sources.get(&source_id)
     }
 
     /// Insert or refresh a template for a source.
-    pub fn insert(&mut self, source_id: u32, template: Template) {
-        self.source_mut(source_id).insert(template);
+    pub fn insert(&mut self, source_id: u32, template_id: u16, layout: RecordLayout) {
+        self.source_mut(source_id).insert(template_id, layout);
     }
 
-    /// Look up a template of a source.
-    pub fn get(&self, source_id: u32, template_id: u16) -> Option<&Template> {
+    /// Look up the compiled layout of a source's template.
+    pub fn get(&self, source_id: u32, template_id: u16) -> Option<&RecordLayout> {
         self.sources.get(&source_id)?.get(template_id)
-    }
-
-    /// Record a data flowset of `source_id` that arrived before its
-    /// template.
-    pub fn note_unknown(&mut self, source_id: u32) {
-        self.source_mut(source_id).note_unknown();
     }
 
     /// Total templates cached across all sources.
@@ -268,12 +377,6 @@ impl TemplateRegistry {
     /// Number of distinct sources seen.
     pub fn source_count(&self) -> usize {
         self.sources.len()
-    }
-
-    /// Total data flowsets (across all sources) that referenced an unknown
-    /// template.
-    pub fn unknown_template_hits(&self) -> u64 {
-        self.sources.values().map(|c| c.unknown_template_hits).sum()
     }
 }
 
@@ -299,53 +402,70 @@ mod tests {
     #[test]
     fn registry_is_keyed_by_source_and_id() {
         let mut reg = TemplateRegistry::new();
-        reg.insert(1, Template::standard_ipv4(256));
-        reg.insert(2, Template::standard_ipv6(256));
+        let (t4, t6) = (Template::standard_ipv4(256), Template::standard_ipv6(256));
+        reg.insert(1, 256, t4.layout());
+        reg.insert(2, 256, t6.layout());
         assert_eq!(reg.len(), 2);
         assert_eq!(reg.source_count(), 2);
-        assert_eq!(
-            reg.get(1, 256).unwrap().fields[0].ftype,
-            FieldType::Ipv4SrcAddr
-        );
-        assert_eq!(
-            reg.get(2, 256).unwrap().fields[0].ftype,
-            FieldType::Ipv6SrcAddr
-        );
+        assert_eq!(reg.get(1, 256), Some(&t4.layout()));
+        assert_eq!(reg.get(2, 256), Some(&t6.layout()));
         assert!(reg.get(3, 256).is_none());
+        assert!(reg.source(3).is_none());
         assert!(!reg.is_empty());
     }
 
     #[test]
     fn template_refresh_overwrites() {
         let mut reg = TemplateRegistry::new();
-        reg.insert(1, Template::standard_ipv4(300));
-        reg.insert(1, Template::standard_ipv6(300));
+        reg.insert(1, 300, Template::standard_ipv4(300).layout());
+        reg.insert(1, 300, Template::standard_ipv6(300).layout());
         assert_eq!(reg.len(), 1);
-        assert_eq!(reg.get(1, 300).unwrap().fields.len(), 7);
-    }
-
-    #[test]
-    fn unknown_template_counters_are_per_source() {
-        let mut reg = TemplateRegistry::new();
-        reg.note_unknown(1);
-        reg.note_unknown(1);
-        reg.note_unknown(9);
-        assert_eq!(reg.source(1).unwrap().unknown_template_hits, 2);
-        assert_eq!(reg.source(9).unwrap().unknown_template_hits, 1);
-        assert_eq!(reg.unknown_template_hits(), 3);
-        assert!(reg.source(2).is_none());
+        assert_eq!(reg.get(1, 300).unwrap().record_len(), 45);
     }
 
     #[test]
     fn per_source_cache_stands_alone() {
         let mut cache = TemplateCache::new();
-        cache.insert(Template::standard_ipv4(256));
-        cache.insert(Template::standard_ipv6(256));
+        cache.insert(256, Template::standard_ipv4(256).layout());
+        cache.insert(256, Template::standard_ipv6(256).layout());
         // Same id: the refresh wins; a cache never holds two layouts.
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.get(256).unwrap().fields.len(), 7);
+        assert_eq!(cache.get(256).unwrap().record_len(), 45);
         assert!(cache.get(300).is_none());
-        cache.note_unknown();
-        assert_eq!(cache.unknown_template_hits, 1);
+    }
+
+    #[test]
+    fn layout_reads_fields_at_compiled_offsets() {
+        let mut t = Template::standard_ipv6(256);
+        // A second, later byte counter wins; an enterprise element with
+        // the byte counter's number only takes space.
+        t.fields.push(FieldSpec {
+            ftype: FieldType::InBytes,
+            length: 8,
+        });
+        let mut layout = t.layout();
+        layout.push(1, 4, true);
+        assert_eq!(layout.record_len(), t.record_len() + 4);
+        let mut rec = vec![0u8; layout.record_len()];
+        rec[15] = 1; // src ::1
+        rec[31] = 2; // dst ::2
+        rec[32..34].copy_from_slice(&443u16.to_be_bytes());
+        rec[36] = 17;
+        rec[41..45].copy_from_slice(&3u32.to_be_bytes());
+        rec[45..53].copy_from_slice(&(1u64 << 40).to_be_bytes());
+        rec[53..57].copy_from_slice(&7u32.to_be_bytes());
+        let flow = layout
+            .flow(&rec, SimTime::from_secs(9), &ExtractorConfig::default())
+            .unwrap();
+        assert_eq!(flow.key.src_ip, "::1".parse::<IpAddr>().unwrap());
+        assert_eq!(flow.key.dst_ip, "::2".parse::<IpAddr>().unwrap());
+        assert_eq!(flow.key.src_port, 443);
+        assert_eq!(flow.key.proto, Protocol::Udp);
+        assert_eq!((flow.bytes, flow.packets), (1 << 40, 3));
+        // A zero byte count is an invalid flow.
+        rec[45..53].fill(0);
+        assert!(layout
+            .flow(&rec, SimTime::ZERO, &ExtractorConfig::default())
+            .is_none());
     }
 }

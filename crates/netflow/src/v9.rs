@@ -3,21 +3,15 @@
 //! A v9 packet is a 20-byte header followed by *flowsets*. A template
 //! flowset (id 0) announces templates; a data flowset (id ≥ 256) carries
 //! records laid out according to a previously announced template. The
-//! [`V9Parser`] keeps a [`TemplateCache`](crate::template::TemplateCache)
-//! across packets, exactly like a real collector, so data flowsets
-//! arriving before their templates are counted instead of crashing the
-//! parse.
+//! decoder keeps a [`TemplateRegistry`] across packets, exactly like a
+//! real collector, so data flowsets arriving before their templates are
+//! counted instead of crashing the decode.
 
-use std::collections::BTreeMap;
-use std::net::IpAddr;
+use flowdns_types::{FlowDnsError, FlowRecord, SimTime};
 
-use flowdns_types::FlowDnsError;
-
-use crate::template::{FieldSpec, FieldType, Template, TemplateRegistry};
-
-fn err(msg: impl Into<String>) -> FlowDnsError {
-    FlowDnsError::NetflowParse(msg.into())
-}
+use crate::decode::{be16, be32, decode_sets, err, Dialect};
+use crate::extract::ExtractorConfig;
+use crate::template::{Template, TemplateRegistry};
 
 /// Size of the v9 packet header in bytes.
 pub const V9_HEADER_LEN: usize = 20;
@@ -26,278 +20,45 @@ pub const TEMPLATE_FLOWSET_ID: u16 = 0;
 /// Flowset id announcing options templates (parsed and skipped).
 pub const OPTIONS_TEMPLATE_FLOWSET_ID: u16 = 1;
 
-/// One decoded data record: field values keyed by field type.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct DataRecord {
-    /// Raw field values, keyed by wire field-type value to keep an
-    /// unambiguous ordering for tests.
-    pub fields: BTreeMap<u16, Vec<u8>>,
-}
+const V9: Dialect = Dialect {
+    template_set: TEMPLATE_FLOWSET_ID,
+    options_set: OPTIONS_TEMPLATE_FLOWSET_ID,
+    enterprise_numbers: false,
+    strict_padding: true,
+};
 
-impl DataRecord {
-    /// Get a field's raw bytes.
-    pub fn raw(&self, ftype: FieldType) -> Option<&[u8]> {
-        self.fields.get(&ftype.to_u16()).map(|v| v.as_slice())
+/// Decode one export packet straight into `out`, updating `templates`.
+/// Returns the number of data flowsets dropped for an unknown template.
+pub(crate) fn decode(
+    templates: &mut TemplateRegistry,
+    config: &ExtractorConfig,
+    bytes: &[u8],
+    out: &mut Vec<FlowRecord>,
+) -> Result<u64, FlowDnsError> {
+    if bytes.len() < V9_HEADER_LEN {
+        return Err(err("packet shorter than v9 header"));
     }
-
-    /// Interpret a field as a big-endian unsigned integer (1–8 bytes).
-    pub fn uint(&self, ftype: FieldType) -> Option<u64> {
-        let raw = self.raw(ftype)?;
-        if raw.is_empty() || raw.len() > 8 {
-            return None;
-        }
-        let mut v = 0u64;
-        for b in raw {
-            v = (v << 8) | *b as u64;
-        }
-        Some(v)
+    let version = be16(bytes, 0);
+    if version != 9 {
+        return Err(err(format!("not a v9 packet (version {version})")));
     }
+    let declared_count = be16(bytes, 2) as usize;
+    let ts = SimTime::from_secs(be32(bytes, 8) as u64);
+    let source_id = be32(bytes, 16);
+    let sets = &bytes[V9_HEADER_LEN..];
+    let decoded = decode_sets(&V9, templates, source_id, ts, config, sets, out)?;
 
-    /// Interpret a field as an IP address (4 or 16 bytes).
-    pub fn ip(&self, ftype: FieldType) -> Option<IpAddr> {
-        let raw = self.raw(ftype)?;
-        match raw.len() {
-            4 => Some(IpAddr::from([raw[0], raw[1], raw[2], raw[3]])),
-            16 => {
-                let mut o = [0u8; 16];
-                o.copy_from_slice(raw);
-                Some(IpAddr::from(o))
-            }
-            _ => None,
-        }
+    // The header count field counts both data records and templates; a
+    // strict check is impossible when templates are unknown, but a
+    // decoded-record count wildly exceeding the declared count means
+    // corruption.
+    if declared_count > 0 && decoded.records > declared_count * 4 {
+        return Err(err(format!(
+            "decoded {} records but header declares {declared_count}",
+            decoded.records
+        )));
     }
-}
-
-/// One flowset of a parsed packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FlowSet {
-    /// A template flowset carrying template definitions.
-    Templates(Vec<Template>),
-    /// A data flowset whose template was known: decoded records.
-    Data {
-        /// The template id the records follow.
-        template_id: u16,
-        /// The decoded records.
-        records: Vec<DataRecord>,
-    },
-    /// A data flowset whose template was not (yet) known.
-    UnknownTemplate {
-        /// The referenced template id.
-        template_id: u16,
-        /// The undecoded payload bytes.
-        bytes: usize,
-    },
-    /// An options-template flowset (recognized but not interpreted).
-    OptionsTemplate,
-}
-
-/// A parsed NetFlow v9 packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct V9Packet {
-    /// Milliseconds since the exporter booted.
-    pub sys_uptime_ms: u32,
-    /// Export time in seconds since the Unix epoch.
-    pub unix_secs: u32,
-    /// Packet sequence number.
-    pub sequence: u32,
-    /// Exporter source id.
-    pub source_id: u32,
-    /// The flowsets carried by the packet.
-    pub flowsets: Vec<FlowSet>,
-}
-
-impl V9Packet {
-    /// All successfully decoded data records in the packet.
-    pub fn data_records(&self) -> impl Iterator<Item = &DataRecord> {
-        self.flowsets.iter().flat_map(|fs| match fs {
-            FlowSet::Data { records, .. } => records.as_slice(),
-            _ => &[],
-        })
-    }
-}
-
-/// Stateful NetFlow v9 parser (one per exporter peer).
-#[derive(Debug, Default)]
-pub struct V9Parser {
-    /// Per-source template caches shared across packets.
-    pub templates: TemplateRegistry,
-    /// Total packets parsed.
-    pub packets: u64,
-    /// Total data records decoded.
-    pub records: u64,
-}
-
-impl V9Parser {
-    /// A fresh parser with an empty template cache.
-    pub fn new() -> Self {
-        V9Parser::default()
-    }
-
-    /// Parse one export packet, updating the template cache.
-    pub fn parse(&mut self, bytes: &[u8]) -> Result<V9Packet, FlowDnsError> {
-        if bytes.len() < V9_HEADER_LEN {
-            return Err(err("packet shorter than v9 header"));
-        }
-        let version = u16::from_be_bytes([bytes[0], bytes[1]]);
-        if version != 9 {
-            return Err(err(format!("not a v9 packet (version {version})")));
-        }
-        let declared_count = u16::from_be_bytes([bytes[2], bytes[3]]) as usize;
-        let sys_uptime_ms = be32(&bytes[4..8]);
-        let unix_secs = be32(&bytes[8..12]);
-        let sequence = be32(&bytes[12..16]);
-        let source_id = be32(&bytes[16..20]);
-
-        let mut flowsets = Vec::new();
-        let mut decoded_records = 0usize;
-        let mut offset = V9_HEADER_LEN;
-        while offset + 4 <= bytes.len() {
-            let flowset_id = u16::from_be_bytes([bytes[offset], bytes[offset + 1]]);
-            let length = u16::from_be_bytes([bytes[offset + 2], bytes[offset + 3]]) as usize;
-            if length < 4 {
-                return Err(err(format!("flowset length {length} too small")));
-            }
-            if offset + length > bytes.len() {
-                return Err(err("flowset runs past end of packet"));
-            }
-            let body = &bytes[offset + 4..offset + length];
-            match flowset_id {
-                TEMPLATE_FLOWSET_ID => {
-                    let templates = parse_template_flowset(body)?;
-                    for t in &templates {
-                        self.templates.insert(source_id, t.clone());
-                    }
-                    flowsets.push(FlowSet::Templates(templates));
-                }
-                OPTIONS_TEMPLATE_FLOWSET_ID => {
-                    flowsets.push(FlowSet::OptionsTemplate);
-                }
-                id if id >= 256 => match self.templates.get(source_id, id).cloned() {
-                    Some(template) => {
-                        let records = parse_data_flowset(body, &template)?;
-                        decoded_records += records.len();
-                        flowsets.push(FlowSet::Data {
-                            template_id: id,
-                            records,
-                        });
-                    }
-                    None => {
-                        self.templates.note_unknown(source_id);
-                        flowsets.push(FlowSet::UnknownTemplate {
-                            template_id: id,
-                            bytes: body.len(),
-                        });
-                    }
-                },
-                id => {
-                    return Err(err(format!("reserved flowset id {id}")));
-                }
-            }
-            offset += length;
-        }
-        if offset != bytes.len() {
-            return Err(err(format!(
-                "{} trailing bytes after last flowset",
-                bytes.len() - offset
-            )));
-        }
-
-        // The header count field counts both data records and templates; a
-        // strict check is impossible when templates are unknown, but a
-        // decoded-record count wildly exceeding the declared count means
-        // corruption.
-        if declared_count > 0 && decoded_records > declared_count * 4 {
-            return Err(err(format!(
-                "decoded {decoded_records} records but header declares {declared_count}"
-            )));
-        }
-
-        self.packets += 1;
-        self.records += decoded_records as u64;
-
-        Ok(V9Packet {
-            sys_uptime_ms,
-            unix_secs,
-            sequence,
-            source_id,
-            flowsets,
-        })
-    }
-}
-
-fn parse_template_flowset(body: &[u8]) -> Result<Vec<Template>, FlowDnsError> {
-    let mut templates = Vec::new();
-    let mut off = 0usize;
-    // Template flowsets may carry padding at the end; stop when fewer than
-    // 4 bytes remain.
-    while off + 4 <= body.len() {
-        let id = u16::from_be_bytes([body[off], body[off + 1]]);
-        let field_count = u16::from_be_bytes([body[off + 2], body[off + 3]]) as usize;
-        if id == 0 && field_count == 0 {
-            break; // padding
-        }
-        if id < 256 {
-            return Err(err(format!("template id {id} below 256")));
-        }
-        if field_count == 0 || field_count > 128 {
-            return Err(err(format!("implausible field count {field_count}")));
-        }
-        off += 4;
-        if off + field_count * 4 > body.len() {
-            return Err(err("template flowset truncated"));
-        }
-        let mut fields = Vec::with_capacity(field_count);
-        for i in 0..field_count {
-            let base = off + i * 4;
-            let ftype = u16::from_be_bytes([body[base], body[base + 1]]);
-            let length = u16::from_be_bytes([body[base + 2], body[base + 3]]);
-            if length == 0 {
-                return Err(err("zero-length template field"));
-            }
-            fields.push(FieldSpec {
-                ftype: FieldType::from_u16(ftype),
-                length,
-            });
-        }
-        off += field_count * 4;
-        templates.push(Template { id, fields });
-    }
-    if templates.is_empty() {
-        return Err(err("template flowset carries no templates"));
-    }
-    Ok(templates)
-}
-
-fn parse_data_flowset(body: &[u8], template: &Template) -> Result<Vec<DataRecord>, FlowDnsError> {
-    let rec_len = template.record_len();
-    if rec_len == 0 {
-        return Err(err("template describes zero-length records"));
-    }
-    let mut records = Vec::new();
-    let mut off = 0usize;
-    while off + rec_len <= body.len() {
-        let mut record = DataRecord::default();
-        let mut pos = off;
-        for field in &template.fields {
-            let len = field.length as usize;
-            record
-                .fields
-                .insert(field.ftype.to_u16(), body[pos..pos + len].to_vec());
-            pos += len;
-        }
-        records.push(record);
-        off += rec_len;
-    }
-    // Remaining bytes must be padding (< rec_len and < 4 per RFC; we allow
-    // up to rec_len - 1 zero bytes).
-    if body.len() - off >= 4 && body[off..].iter().any(|b| *b != 0) {
-        return Err(err("trailing non-padding bytes in data flowset"));
-    }
-    Ok(records)
-}
-
-fn be32(b: &[u8]) -> u32 {
-    u32::from_be_bytes([b[0], b[1], b[2], b[3]])
+    Ok(decoded.unknown_sets)
 }
 
 /// Builder for NetFlow v9 export packets (used by the synthetic exporter
@@ -418,7 +179,7 @@ pub fn encode_standard_ipv4_record(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::Ipv4Addr;
+    use std::net::{IpAddr, Ipv4Addr};
 
     fn template() -> Template {
         Template::standard_ipv4(256)
@@ -455,58 +216,56 @@ mod tests {
         b.build(123)
     }
 
+    /// Decode `bytes` with `templates`: the flows, or the error.
+    fn run(
+        templates: &mut TemplateRegistry,
+        bytes: &[u8],
+    ) -> Result<Vec<FlowRecord>, FlowDnsError> {
+        let mut out = Vec::new();
+        decode(templates, &ExtractorConfig::default(), bytes, &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn template_then_data_round_trip() {
-        let mut parser = V9Parser::new();
-        let pkt = parser.parse(&sample_packet(true)).unwrap();
-        assert_eq!(pkt.source_id, 7);
-        let records: Vec<&DataRecord> = pkt.data_records().collect();
-        assert_eq!(records.len(), 2);
-        assert_eq!(
-            records[0].ip(FieldType::Ipv4SrcAddr),
-            Some(IpAddr::from([203, 0, 113, 1]))
-        );
-        assert_eq!(records[0].uint(FieldType::InBytes), Some(150_000));
-        assert_eq!(records[0].uint(FieldType::Protocol), Some(6));
-        assert_eq!(records[1].uint(FieldType::L4DstPort), Some(51001));
-        assert_eq!(parser.records, 2);
+        let mut templates = TemplateRegistry::new();
+        let flows = run(&mut templates, &sample_packet(true)).unwrap();
+        assert!(templates.get(7, 256).is_some());
+        assert_eq!(flows.len(), 2);
+        assert_eq!(flows[0].ts, SimTime::from_secs(1_700_000_000));
+        assert_eq!(flows[0].key.src_ip, IpAddr::from([203, 0, 113, 1]));
+        assert_eq!(flows[0].bytes, 150_000);
+        assert_eq!(flows[0].key.proto.to_u8(), 6);
+        assert_eq!(flows[1].key.dst_port, 51001);
     }
 
     #[test]
     fn data_before_template_is_counted_not_fatal() {
-        let mut parser = V9Parser::new();
-        let pkt = parser.parse(&sample_packet(false)).unwrap();
-        assert!(matches!(
-            pkt.flowsets[0],
-            FlowSet::UnknownTemplate {
-                template_id: 256,
-                ..
-            }
-        ));
-        assert_eq!(parser.templates.unknown_template_hits(), 1);
+        let mut templates = TemplateRegistry::new();
+        let mut out = Vec::new();
+        let config = ExtractorConfig::default();
+        let unknown = decode(&mut templates, &config, &sample_packet(false), &mut out).unwrap();
+        assert_eq!((unknown, out.len()), (1, 0));
         // After the template arrives, subsequent data decodes.
-        let pkt2 = parser.parse(&sample_packet(true)).unwrap();
-        assert_eq!(pkt2.data_records().count(), 2);
+        assert_eq!(run(&mut templates, &sample_packet(true)).unwrap().len(), 2);
     }
 
     #[test]
     fn templates_persist_across_packets() {
-        let mut parser = V9Parser::new();
-        parser.parse(&sample_packet(true)).unwrap();
+        let mut templates = TemplateRegistry::new();
+        run(&mut templates, &sample_packet(true)).unwrap();
         // Second packet has no template flowset but decodes via the cache.
-        let pkt = parser.parse(&sample_packet(false)).unwrap();
-        assert_eq!(pkt.data_records().count(), 2);
-        assert_eq!(parser.packets, 2);
+        assert_eq!(run(&mut templates, &sample_packet(false)).unwrap().len(), 2);
     }
 
     #[test]
     fn wrong_version_and_truncation_are_errors() {
-        let mut parser = V9Parser::new();
+        let mut templates = TemplateRegistry::new();
         let mut bytes = sample_packet(true);
-        assert!(parser.parse(&bytes[..10]).is_err());
-        assert!(parser.parse(&bytes[..V9_HEADER_LEN + 2]).is_err());
+        assert!(run(&mut templates, &bytes[..10]).is_err());
+        assert!(run(&mut templates, &bytes[..V9_HEADER_LEN + 2]).is_err());
         bytes[1] = 5;
-        assert!(parser.parse(&bytes).is_err());
+        assert!(run(&mut templates, &bytes).is_err());
     }
 
     #[test]
@@ -516,27 +275,48 @@ mod tests {
         let len_off = V9_HEADER_LEN + 2;
         bytes[len_off] = 0xFF;
         bytes[len_off + 1] = 0xFF;
-        let mut parser = V9Parser::new();
-        assert!(parser.parse(&bytes).is_err());
+        assert!(run(&mut TemplateRegistry::new(), &bytes).is_err());
     }
 
     #[test]
     fn malformed_templates_are_rejected() {
-        // Template with id < 256.
         let mut b = V9PacketBuilder::new(1, 1, 0);
         b.add_templates(&[Template {
             id: 300,
-            fields: vec![FieldSpec {
-                ftype: FieldType::InBytes,
-                length: 4,
-            }],
+            fields: vec![crate::FieldSpec::standard(crate::FieldType::InBytes)],
         }]);
         let mut bytes = b.build(0);
         // Patch template id to 5 (offset: header 20 + flowset hdr 4 = 24).
         bytes[24] = 0;
         bytes[25] = 5;
-        let mut parser = V9Parser::new();
-        assert!(parser.parse(&bytes).is_err());
+        assert!(run(&mut TemplateRegistry::new(), &bytes).is_err());
+    }
+
+    #[test]
+    fn non_zero_padding_and_declared_count_overrun_are_errors() {
+        let mut bytes = sample_packet(true);
+        let last = bytes.len() - 1;
+        // Fewer than 4 trailing bytes are padding whatever they hold; 4 or
+        // more must be zero.
+        bytes[last] = 0xAB;
+        assert!(
+            run(&mut TemplateRegistry::new(), &bytes).is_ok(),
+            "short padding is ignored"
+        );
+        let mut padded = sample_packet(true);
+        padded.extend_from_slice(&[0, 0, 0, 0xAB]);
+        // The data flowset (2 × 29-byte records + 2 padding bytes) is last.
+        let len_off = padded.len() - 4 - 64 + 2;
+        padded[len_off..len_off + 2].copy_from_slice(&68u16.to_be_bytes());
+        assert!(run(&mut TemplateRegistry::new(), &padded).is_err());
+        // Nine records against a declared count of 2 is corruption.
+        let mut b = V9PacketBuilder::new(7, 1, 0);
+        b.add_templates(&[template()]);
+        let zeros: Vec<Vec<u8>> = (0..9).map(|_| vec![0u8; 29]).collect();
+        b.add_data(&template(), &zeros).unwrap();
+        let mut overrun = b.build(0);
+        overrun[2..4].copy_from_slice(&2u16.to_be_bytes());
+        assert!(run(&mut TemplateRegistry::new(), &overrun).is_err());
     }
 
     #[test]
@@ -555,15 +335,10 @@ mod tests {
         rec.extend_from_slice(&1_000_000u32.to_be_bytes());
         rec.extend_from_slice(&800u32.to_be_bytes());
         b.add_data(&t6, &[rec]).unwrap();
-        let mut parser = V9Parser::new();
-        let pkt = parser.parse(&b.build(1)).unwrap();
-        let records: Vec<&DataRecord> = pkt.data_records().collect();
-        assert_eq!(records.len(), 1);
-        assert_eq!(
-            records[0].ip(FieldType::Ipv6SrcAddr),
-            Some(IpAddr::from(src))
-        );
-        assert_eq!(records[0].uint(FieldType::InBytes), Some(1_000_000));
+        let flows = run(&mut TemplateRegistry::new(), &b.build(1)).unwrap();
+        assert_eq!(flows.len(), 1);
+        assert_eq!(flows[0].key.src_ip, IpAddr::from(src));
+        assert_eq!(flows[0].bytes, 1_000_000);
     }
 
     #[test]

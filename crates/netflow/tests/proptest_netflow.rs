@@ -1,10 +1,10 @@
 //! Property-based tests for the NetFlow codecs: v5 packets round-trip,
 //! v9 template+data pipelines recover the encoded field values, and the
-//! parsers never panic on arbitrary input.
+//! decoders never panic on arbitrary input.
 
 use flowdns_netflow::v5::{V5Header, V5Packet, V5Record};
-use flowdns_netflow::v9::{encode_standard_ipv4_record, V9PacketBuilder, V9Parser};
-use flowdns_netflow::{FieldType, Template};
+use flowdns_netflow::v9::{encode_standard_ipv4_record, V9PacketBuilder};
+use flowdns_netflow::{ExporterDecoder, ExtractorConfig, Template};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
@@ -74,7 +74,7 @@ proptest! {
     #[test]
     fn v9_field_values_survive(
         flows in proptest::collection::vec(
-            (any::<[u8; 4]>(), any::<[u8; 4]>(), any::<u16>(), any::<u16>(), any::<u8>(), 1u32..1_000_000, 1u32..10_000),
+            (any::<[u8; 4]>(), any::<[u8; 4]>(), any::<u16>(), any::<u16>(), any::<u8>(), 10_000u32..1_000_000, 1u32..10_000),
             1..20)
     ) {
         let template = Template::standard_ipv4(256);
@@ -97,27 +97,28 @@ proptest! {
             })
             .collect();
         builder.add_data(&template, &records).unwrap();
-        let mut parser = V9Parser::new();
-        let pkt = parser.parse(&builder.build(0)).unwrap();
-        let decoded: Vec<_> = pkt.data_records().collect();
+        let mut decoder = ExporterDecoder::new(ExtractorConfig::default());
+        let decoded = decoder.decode_datagram(&builder.build(0)).unwrap();
         prop_assert_eq!(decoded.len(), flows.len());
-        for (rec, (s, _, _, _, proto, bytes, pkts)) in decoded.iter().zip(&flows) {
-            prop_assert_eq!(rec.ip(FieldType::Ipv4SrcAddr), Some(std::net::IpAddr::from(*s)));
-            prop_assert_eq!(rec.uint(FieldType::Protocol), Some(*proto as u64));
-            prop_assert_eq!(rec.uint(FieldType::InBytes), Some(*bytes as u64));
-            prop_assert_eq!(rec.uint(FieldType::InPkts), Some(*pkts as u64));
+        for (flow, (s, _, _, _, proto, bytes, pkts)) in decoded.iter().zip(&flows) {
+            prop_assert_eq!(flow.key.src_ip, std::net::IpAddr::from(*s));
+            prop_assert_eq!(flow.key.proto.to_u8(), *proto);
+            prop_assert_eq!(flow.bytes, *bytes as u64);
+            prop_assert_eq!(flow.packets, *pkts as u64);
         }
     }
 
     #[test]
-    fn v9_parser_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..1024)) {
-        let mut parser = V9Parser::new();
-        let _ = parser.parse(&bytes);
+    fn v9_decoder_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..1024)) {
+        // The version word steers every input past the header check.
+        let datagram = [&[0u8, 9][..], &bytes].concat();
+        let _ = ExporterDecoder::new(ExtractorConfig::default()).decode_datagram(&datagram);
     }
 
     #[test]
-    fn ipfix_parser_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..1024)) {
-        let mut parser = flowdns_netflow::ipfix::IpfixParser::new();
-        let _ = parser.parse(&bytes);
+    fn ipfix_decoder_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..1024)) {
+        // Version word and a matching length field, then arbitrary sets.
+        let datagram = [&[0u8, 10][..], &(bytes.len() as u16 + 4).to_be_bytes(), &bytes].concat();
+        let _ = ExporterDecoder::new(ExtractorConfig::default()).decode_datagram(&datagram);
     }
 }

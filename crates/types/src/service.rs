@@ -7,6 +7,8 @@
 //! *service* (Netflix, a CDN customer, ...) using suffix rules.
 
 use std::fmt;
+use std::io::Write as _;
+use std::net::IpAddr;
 use std::sync::Arc;
 
 use crate::domain::DomainName;
@@ -167,35 +169,73 @@ impl CorrelatedRecord {
         self.flow.bytes
     }
 
-    /// Render the record as a single TSV output line:
-    /// `ts  srcIP  dstIP  bytes  src_asn  dst_asn  query_name  final_name`.
-    /// Unattributed columns carry `-`.
+    /// Append the record's TSV output line, without the newline, to
+    /// `out`: `ts  srcIP  dstIP  bytes  src_asn  dst_asn  query_name
+    /// final_name`. Unattributed columns carry `-`. Allocates nothing
+    /// once `out` has room for a line, so sinks reuse one buffer.
+    pub fn write_tsv(&self, out: &mut Vec<u8>) {
+        write_decimal(out, self.flow.ts.as_secs());
+        out.push(b'\t');
+        write_ip(out, self.flow.key.src_ip);
+        out.push(b'\t');
+        write_ip(out, self.flow.key.dst_ip);
+        out.push(b'\t');
+        write_decimal(out, self.flow.bytes);
+        for asn in [self.src_asn, self.dst_asn] {
+            out.push(b'\t');
+            match asn {
+                Some(asn) => write_decimal(out, asn.into()),
+                None => out.push(b'-'),
+            }
+        }
+        for name in [self.outcome.first_name(), self.outcome.final_name()] {
+            out.push(b'\t');
+            out.extend_from_slice(name.map_or("-", DomainName::as_str).as_bytes());
+        }
+    }
+
+    /// The record's TSV output line as a `String`; see
+    /// [`write_tsv`](Self::write_tsv).
     pub fn to_tsv(&self) -> String {
-        let query = self
-            .outcome
-            .first_name()
-            .map(|n| n.as_str().to_string())
-            .unwrap_or_else(|| "-".to_string());
-        let final_name = self
-            .outcome
-            .final_name()
-            .map(|n| n.as_str().to_string())
-            .unwrap_or_else(|| "-".to_string());
-        let asn_col = |asn: Option<u32>| match asn {
-            Some(asn) => asn.to_string(),
-            None => "-".to_string(),
-        };
-        format!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-            self.flow.ts.as_secs(),
-            self.flow.key.src_ip,
-            self.flow.key.dst_ip,
-            self.flow.bytes,
-            asn_col(self.src_asn),
-            asn_col(self.dst_asn),
-            query,
-            final_name
-        )
+        // Room for the widest fixed columns plus both names: one allocation.
+        let names: usize = self.outcome.names().iter().map(|n| n.as_str().len()).sum();
+        let mut line = Vec::with_capacity(160 + names);
+        self.write_tsv(&mut line);
+        String::from_utf8(line).expect("TSV columns are UTF-8 text")
+    }
+}
+
+/// Append `v` in decimal.
+fn write_decimal(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[start..]);
+}
+
+/// Append `ip` as std's `Display` renders it: IPv4 as dotted octets,
+/// IPv6 through `Display` itself.
+fn write_ip(out: &mut Vec<u8>, ip: IpAddr) {
+    match ip {
+        IpAddr::V4(v4) => {
+            for (i, octet) in v4.octets().into_iter().enumerate() {
+                if i > 0 {
+                    out.push(b'.');
+                }
+                write_decimal(out, octet.into());
+            }
+        }
+        // Writing into a `Vec` cannot fail.
+        IpAddr::V6(v6) => {
+            let _ = write!(out, "{v6}");
+        }
     }
 }
 

@@ -12,8 +12,8 @@
 use flowdns::core::{Correlator, CorrelatorConfig};
 use flowdns::dns::message::DnsClass;
 use flowdns::dns::{records_from_message, DnsMessage, Question, ResourceRecord, ResponseFilter};
-use flowdns::netflow::v9::{encode_standard_ipv4_record, V9PacketBuilder, V9Parser};
-use flowdns::netflow::{ExtractorConfig, FlowExtractor, Template};
+use flowdns::netflow::v9::{encode_standard_ipv4_record, V9PacketBuilder};
+use flowdns::netflow::{ExporterDecoder, ExtractorConfig, Template};
 use flowdns::types::{DomainName, RecordType, SimTime};
 use std::net::Ipv4Addr;
 
@@ -76,10 +76,8 @@ fn main() {
     let packet = builder.build(1_000);
     println!("NetFlow v9 packet encoded to {} bytes", packet.len());
 
-    let mut parser = V9Parser::new();
-    let parsed_packet = parser.parse(&packet).expect("decode v9 packet");
-    let mut extractor = FlowExtractor::new(ExtractorConfig::default());
-    let flows = extractor.from_v9(&parsed_packet);
+    let mut decoder = ExporterDecoder::new(ExtractorConfig::default());
+    let flows = decoder.decode_datagram(&packet).expect("decode v9 packet");
     println!("extracted {} flow records", flows.len());
 
     // --- Correlate. -------------------------------------------------------

@@ -7,8 +7,8 @@ use flowdns::core::{Correlator, CorrelatorConfig, OfflineSimulator, Variant};
 use flowdns::dns::{records_from_message, DnsMessage, FrameDecoder, FrameEncoder};
 use flowdns::gen::workload::StreamEvent;
 use flowdns::gen::{Workload, WorkloadConfig};
-use flowdns::netflow::v9::{encode_standard_ipv4_record, V9PacketBuilder, V9Parser};
-use flowdns::netflow::{ExtractorConfig, FlowExtractor, Template};
+use flowdns::netflow::v9::{encode_standard_ipv4_record, V9PacketBuilder};
+use flowdns::netflow::{ExporterDecoder, ExtractorConfig, Template};
 use flowdns::types::{DnsRecord, DomainName, FlowRecord, SimDuration, SimTime};
 use std::net::Ipv4Addr;
 
@@ -158,10 +158,8 @@ fn wire_format_ingestion_end_to_end() {
             )],
         )
         .unwrap();
-    let mut parser = V9Parser::new();
-    let packet = parser.parse(&builder.build(0)).unwrap();
-    let mut extractor = FlowExtractor::new(ExtractorConfig::default());
-    let flows = extractor.from_v9(&packet);
+    let mut decoder = ExporterDecoder::new(ExtractorConfig::default());
+    let flows = decoder.decode_datagram(&builder.build(0)).unwrap();
     assert_eq!(flows.len(), 1);
 
     let correlator = Correlator::start(CorrelatorConfig::default()).unwrap();

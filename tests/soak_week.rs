@@ -63,9 +63,7 @@ fn compressed_week_holds_the_three_soak_claims() {
         assert!(
             mode.restart.continuity,
             "{}: snapshot had {} entries but warm start restored {}",
-            mode.label,
-            mode.restart.snapshot_entries,
-            mode.restart.warm_start_entries
+            mode.label, mode.restart.snapshot_entries, mode.restart.warm_start_entries
         );
         // Zero accepted-record loss, reconciled against the pipeline's
         // own metrics (and in sharded mode the per-shard routed
